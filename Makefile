@@ -24,7 +24,9 @@ bench-fleet:
 bench-scale:
 	cargo bench -p coreda-bench --bench scale_micro
 
-# The tier-1 gate: release build, full test suite, the determinism
+# The tier-1 gate: release build, the root package's tests, every
+# workspace crate's tests, the benchmark's helper tests (which also
+# build the public API the benchmark drives), the determinism
 # regressions (parallel sweeps, metro serving, and flight-recorder
 # telemetry byte-identical to serial; timing wheel byte-identical to the
 # heap queue), the checkpoint/resume equivalence suite (full snapshots
@@ -62,6 +64,8 @@ bench-scale:
 ci:
 	cargo build --release
 	cargo test -q
+	cargo test --workspace -q
+	cargo test --offline --manifest-path perfbench/Cargo.toml
 	cargo test -q --test fleet_determinism
 	cargo test -q --test scale_determinism
 	cargo test -q --test checkpoint_equivalence

@@ -285,7 +285,8 @@ pub fn load_checkpoint(blob: &[u8], jobs: usize) -> Result<MetroCheckpoint, Chec
     let digest = r.u64()?;
     let at = r.time()?;
     let des_events = r.u64()?;
-    let n_homes = r.len()?;
+    // Each home slice carries at least its 4-byte length prefix.
+    let n_homes = r.count(4)?;
     let mut slices = Vec::with_capacity(n_homes);
     for _ in 0..n_homes {
         let len = r.len()?;
@@ -780,6 +781,17 @@ impl Reader<'_> {
 
     fn len(&mut self) -> Result<usize, CheckpointError> {
         Ok(self.u32()? as usize)
+    }
+
+    /// A count of records that each take at least `min_bytes`: a count
+    /// the remaining bytes cannot hold is rejected before anything is
+    /// allocated for it.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.len()?;
+        if n > self.buf.remaining() / min_bytes {
+            return Err(CheckpointError::Truncated { len: self.buf.remaining() });
+        }
+        Ok(n)
     }
 
     fn time(&mut self) -> Result<SimTime, CheckpointError> {
@@ -1965,7 +1977,8 @@ pub fn load_delta(blob: &[u8], jobs: usize) -> Result<DeltaCheckpoint, Checkpoin
     let base_fingerprint = r.u64()?;
     let at = r.time()?;
     let des_events = r.u64()?;
-    let n_homes = r.len()?;
+    // Each home slice carries at least its 4-byte length prefix.
+    let n_homes = r.count(4)?;
     let mut slices = Vec::with_capacity(n_homes);
     for _ in 0..n_homes {
         let len = r.len()?;
@@ -2969,5 +2982,29 @@ mod tests {
         // A checkpoint manifest is not a delta manifest.
         let full = save_checkpoint(&sample(), 1);
         assert_eq!(load_delta(&full, 1), Err(CheckpointError::BadMagic(*MAGIC)));
+    }
+
+    /// A CRC-valid manifest that is all header: `u64_fields` zeroed u64s
+    /// after magic and version, then a home count of `u32::MAX`.
+    fn header_only(magic: &[u8; 4], u64_fields: usize) -> Vec<u8> {
+        let mut blob = magic.to_vec();
+        blob.put_u8(VERSION);
+        for _ in 0..u64_fields {
+            blob.put_u64(0);
+        }
+        blob.put_u32(u32::MAX);
+        let crc = crc16(&blob);
+        blob.put_u16(crc);
+        blob
+    }
+
+    #[test]
+    fn home_counts_the_body_cannot_hold_are_rejected_before_allocating() {
+        // digest, at, des_events
+        let full = header_only(MAGIC, 3);
+        assert_eq!(load_checkpoint(&full, 1), Err(CheckpointError::Truncated { len: 0 }));
+        // digest, base_fingerprint, at, des_events
+        let delta = header_only(DELTA_MAGIC, 4);
+        assert_eq!(load_delta(&delta, 1), Err(CheckpointError::Truncated { len: 0 }));
     }
 }

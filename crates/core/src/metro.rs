@@ -1923,7 +1923,8 @@ pub struct ServeSession<'a> {
     /// The drained window, sorted by `(home, due)` — each home's wakes
     /// form one contiguous, due-ordered chain.
     epoch: Vec<(SimTime, Wake)>,
-    /// `(local home, chain start, chain end)` per due home, home-ascending.
+    /// `(local home, chain start, chain end)` per due home, home-ascending
+    /// — [`ServeSession::next_wake`] binary-searches it.
     chains: Vec<(usize, usize, usize)>,
     /// The home whose chain [`ServeSession::next_wake`] is walking.
     active: Option<usize>,
@@ -2094,7 +2095,8 @@ impl ServeSession<'_> {
                 self.inline.is_empty() && self.pending_wake.is_none(),
                 "switched homes with an unserved chain"
             );
-            let &(_, start, end) = self.chains.iter().find(|&&(h, _, _)| h == i)?;
+            let c = self.chains.binary_search_by_key(&i, |&(h, _, _)| h).ok()?;
+            let (_, start, end) = self.chains[c];
             self.active = Some(i);
             self.chain_cursor = start;
             self.chain_end = end;
@@ -2505,6 +2507,49 @@ mod tests {
                 deliveries.sort_unstable_by_key(|r| (r.at, r.home));
                 assert_eq!(deliveries, wal, "{engine}/{sched} deliveries diverged");
             }
+        }
+    }
+
+    /// The chain lookup in `next_wake` finds a home's chain wherever the
+    /// home sits in the window: serving each window's homes in reverse
+    /// or shuffled order reproduces the batch report and delivery log.
+    /// Probing a home with no wakes in the window yields `None` and
+    /// leaves the chain of the home served next intact.
+    #[test]
+    fn chain_lookup_is_independent_of_serving_order() {
+        let cfg = MetroConfig { homes: 12, ..small_cfg() };
+        let batch = run_scale(&cfg);
+        let (_, wal) = run_scale_walled(&cfg);
+        let ctx = ServeCtx::new(cfg.clone()).expect("small fleets fit");
+        for shuffled in [false, true] {
+            let mut rng = SimRng::seed_from(2007);
+            let mut session = ctx.session(0, cfg.homes, false, false);
+            let mut due = Vec::new();
+            let mut deliveries = Vec::new();
+            let mut probes = 0;
+            while session.next_epoch(&mut due).is_some() {
+                if shuffled {
+                    rng.shuffle(&mut due);
+                } else {
+                    due.reverse();
+                }
+                let idle = (0..cfg.homes as u32).find(|h| !due.contains(h));
+                for &home in &due {
+                    if let Some(idle) = idle {
+                        assert_eq!(session.next_wake(idle), None, "home {idle} owns no wakes");
+                        probes += 1;
+                    }
+                    while let Some(now) = session.next_wake(home) {
+                        session.serve_wake(home, now, false, &mut deliveries);
+                    }
+                }
+            }
+            assert!(probes > 0, "some window should leave a home idle");
+            let (out, _, _) = collect_served(&cfg, vec![session.finish()]);
+            let order = if shuffled { "shuffled" } else { "reversed" };
+            assert_eq!(out.report, batch, "{order} serve diverged");
+            deliveries.sort_unstable_by_key(|r| (r.at, r.home));
+            assert_eq!(deliveries, wal, "{order} deliveries diverged");
         }
     }
 

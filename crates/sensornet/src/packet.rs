@@ -22,18 +22,36 @@ pub const MAGIC: u8 = 0xCD;
 /// frame).
 pub const MAX_FRAME_LEN: usize = 64;
 
-/// CRC-16/CCITT-FALSE over `data` (poly 0x1021, init 0xFFFF).
+/// Header bytes ahead of the payload: magic, source, sequence number,
+/// timestamp and payload tag.
+const HEADER_LEN: usize = 1 + 2 + 2 + 8 + 1;
+
+/// CRC-16/CCITT-FALSE over `data` (poly 0x1021, init 0xFFFF), one table
+/// lookup per byte.
 #[must_use]
 pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x1021 } else { crc << 1 };
-        }
-    }
-    crc
+    data.iter().fold(0xFFFF, |crc, &byte| {
+        (crc << 8) ^ CRC16_TABLE[usize::from((crc >> 8) as u8 ^ byte)]
+    })
 }
+
+/// `CRC16_TABLE[b]` is the CRC register after shifting byte `b` through
+/// the polynomial from zero: the bitwise loop's eight steps, precomputed.
+const CRC16_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x1021 } else { crc << 1 };
+            bit += 1;
+        }
+        table[b] = crc;
+        b += 1;
+    }
+    table
+};
 
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -140,8 +158,7 @@ impl Packet {
     /// Returns a [`PacketError`] when the frame is truncated, has a bad
     /// magic byte, an unknown payload tag, or a CRC mismatch.
     pub fn decode(frame: &[u8]) -> Result<Self, PacketError> {
-        const HEADER: usize = 1 + 2 + 2 + 8 + 1;
-        if frame.len() < HEADER + 2 {
+        if frame.len() < HEADER_LEN + 2 {
             return Err(PacketError::Truncated { len: frame.len() });
         }
         let (body, trailer) = frame.split_at(frame.len() - 2);
@@ -194,10 +211,15 @@ impl Packet {
         Ok(Packet { src, seq, timestamp_ms, payload })
     }
 
-    /// The encoded length in bytes.
+    /// The encoded length in bytes, computed without encoding.
     #[must_use]
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        let payload = match self.payload {
+            Payload::ToolUse { .. } | Payload::Ack { .. } => 2,
+            Payload::Led { .. } => 4,
+            Payload::Heartbeat => 0,
+        };
+        HEADER_LEN + payload + 2
     }
 }
 
@@ -281,6 +303,7 @@ mod tests {
         for p in sample_packets() {
             let bytes = p.encode();
             assert_eq!(Packet::decode(&bytes).unwrap(), p, "roundtrip failed for {p:?}");
+            assert_eq!(p.encoded_len(), bytes.len(), "encoded_len wrong for {p:?}");
         }
     }
 

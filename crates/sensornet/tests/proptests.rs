@@ -36,6 +36,19 @@ fn arb_payload() -> impl Strategy<Value = Payload> {
     ]
 }
 
+/// The bitwise CRC-16/CCITT-FALSE loop (poly 0x1021, init 0xFFFF): the
+/// reference the table-driven `crc16` must match.
+fn crc16_reference(data: &[u8]) -> u16 {
+    let mut crc: u16 = 0xFFFF;
+    for &byte in data {
+        crc ^= u16::from(byte) << 8;
+        for _ in 0..8 {
+            crc = if crc & 0x8000 != 0 { (crc << 1) ^ 0x1021 } else { crc << 1 };
+        }
+    }
+    crc
+}
+
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (any::<u16>(), any::<u16>(), any::<u64>(), arb_payload())
         .prop_map(|(src, seq, ts, payload)| Packet::new(NodeId::new(src), seq, ts, payload))
@@ -76,6 +89,12 @@ proptest! {
         let mut mutated = data.clone();
         mutated[idx] = mutated[idx].wrapping_add(delta);
         prop_assert_ne!(crc16(&data), crc16(&mutated));
+    }
+
+    /// The table-driven CRC equals the bitwise reference on any input.
+    #[test]
+    fn crc_matches_bitwise_reference(data in proptest::collection::vec(any::<u8>(), 0..=4096)) {
+        prop_assert_eq!(crc16(&data), crc16_reference(&data));
     }
 
     /// The detector verdict equals "at least 3 of 10 above threshold", for
